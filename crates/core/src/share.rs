@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 
-use pvm_engine::{Backend, Cluster, MeterReport, NetPayload, PartitionSpec, TableId};
+use pvm_engine::{Backend, Cluster, NetPayload, PartitionSpec, TableId};
 use pvm_obs::{metric, MethodTag, Phase};
 use pvm_types::{GlobalRid, NodeId, PvmError, Result, Row};
 
@@ -623,7 +623,7 @@ fn maintain_catalog_phases<B: Backend>(
                 // The pool's structure updates merge *into* (not replace)
                 // the first view's own aux phase: an ungrouped view with
                 // private structures still reports its own aux cost.
-                merge_report(&mut out.aux, &a);
+                view.absorb_pool_aux(&mut out, &a);
             }
             outcomes[i] = Some(match outcomes[i].take() {
                 Some(prev) => prev.merge(out),
@@ -651,15 +651,6 @@ fn maintain_catalog_phases<B: Backend>(
         .into_iter()
         .map(|o| o.unwrap_or_else(view::untouched_outcome))
         .collect())
-}
-
-/// Accumulate `other`'s counters into `into` (per-node zip plus net) —
-/// the same fold [`MaintenanceOutcome::merge`] uses per phase.
-fn merge_report(into: &mut MeterReport, other: &MeterReport) {
-    for (x, y) in into.per_node.iter_mut().zip(&other.per_node) {
-        *x += *y;
-    }
-    into.net += other.net;
 }
 
 #[cfg(test)]
@@ -890,6 +881,53 @@ mod tests {
             got.sort();
             assert_eq!(want, got);
             sv.check_consistent(&shared).unwrap();
+        }
+    }
+
+    #[test]
+    fn pooled_group_registry_counts_pool_structure_updates() {
+        // The pool's structure updates are reported on the group's first
+        // member; its registry counters must carry them too, so per view
+        // `tw_milli_io / delta_rows` equals the summed outcome TW per row.
+        let mut cluster = setup(4);
+        cluster.set_trace_sink(std::sync::Arc::new(pvm_obs::RingSink::new(64)));
+        let mut catalog = SharedCatalog::new();
+        let [full, slim, _] = defs();
+        catalog.ars.enroll(&mut cluster, &full).unwrap();
+        catalog.ars.enroll(&mut cluster, &slim).unwrap();
+        let mut views = [
+            MaintainedView::create_with_pool(&mut cluster, full, &catalog.ars).unwrap(),
+            MaintainedView::create_with_pool(&mut cluster, slim, &catalog.ars).unwrap(),
+        ];
+        let mut milli = [0u64; 2];
+        let mut pool_aux = 0.0;
+        for (rel, delta) in deltas() {
+            let mut refs: Vec<&mut MaintainedView> = views.iter_mut().collect();
+            let outs = maintain_catalog(&mut cluster, &catalog, &mut refs, rel, &delta).unwrap();
+            for (m, o) in milli.iter_mut().zip(&outs) {
+                *m += (o.tw_io() * 1000.0).round() as u64;
+            }
+            pool_aux += outs[0].aux.total_workload_io();
+        }
+        assert!(
+            pool_aux > 0.0,
+            "the pool's structure updates land on the first member"
+        );
+        let obs = cluster.obs_handle();
+        let metrics = obs.metrics();
+        for (v, want) in views.iter().zip(milli) {
+            let name = &v.def().name;
+            let rows = metrics
+                .counter(&pvm_obs::metric::view_delta_rows(name))
+                .get();
+            let got = metrics
+                .counter(&pvm_obs::metric::view_tw_milli_io(name))
+                .get();
+            assert!(rows > 0, "{name}: no delta rows recorded");
+            assert_eq!(
+                got, want,
+                "{name}: registry TW disagrees with the outcomes over {rows} delta rows"
+            );
         }
     }
 

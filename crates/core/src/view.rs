@@ -115,20 +115,22 @@ impl MaintenanceOutcome {
     }
 
     pub(crate) fn merge(mut self, other: MaintenanceOutcome) -> MaintenanceOutcome {
-        fn merge_reports(a: &mut MeterReport, b: &MeterReport) {
-            for (x, y) in a.per_node.iter_mut().zip(&b.per_node) {
-                *x += *y;
-            }
-            a.net += b.net;
-        }
-        merge_reports(&mut self.base, &other.base);
-        merge_reports(&mut self.aux, &other.aux);
-        merge_reports(&mut self.compute, &other.compute);
-        merge_reports(&mut self.view, &other.view);
+        merge_report(&mut self.base, &other.base);
+        merge_report(&mut self.aux, &other.aux);
+        merge_report(&mut self.compute, &other.compute);
+        merge_report(&mut self.view, &other.view);
         self.view_rows += other.view_rows;
         self.view_changes.extend(other.view_changes);
         self
     }
+}
+
+/// Accumulate `other`'s counters into `into` (per-node zip plus net).
+fn merge_report(into: &mut MeterReport, other: &MeterReport) {
+    for (x, y) in into.per_node.iter_mut().zip(&other.per_node) {
+        *x += *y;
+    }
+    into.net += other.net;
 }
 
 /// Observed counted costs of one committed maintenance batch, split into
@@ -195,6 +197,16 @@ impl BatchCostRecord {
         self.compute_nodes = self
             .compute_nodes
             .max(outcome.compute_active_nodes() as u64);
+    }
+
+    /// Fold in structure updates merged into an outcome this record has
+    /// already absorbed; `response_delta` is how far the merge raised
+    /// that outcome's response time.
+    fn add_aux(&mut self, aux: &MeterReport, response_delta: f64) {
+        self.aux_io += aux.total_workload_io();
+        self.response_io += response_delta;
+        self.sends += aux.sends();
+        self.bytes += aux.net.bytes_sent;
     }
 
     fn add_base(&mut self, base: &MeterReport) {
@@ -956,6 +968,19 @@ impl MaintainedView {
                     .get_or_insert_with(BatchCostRecord::empty)
                     .add_outcome(delta_rows, outcome);
             }
+        }
+    }
+
+    /// Merge a shared pool's structure updates into this view's phase
+    /// `outcome` — after [`MaintainedView::apply_prepared`] or
+    /// [`MaintainedView::note_group_outcome`] recorded it — and into the
+    /// open batch's cost record, so the per-view counters and `EXPLAIN
+    /// ANALYZE MAINTENANCE` see the same aux cost as the outcome.
+    pub(crate) fn absorb_pool_aux(&mut self, outcome: &mut MaintenanceOutcome, aux: &MeterReport) {
+        let response_before = outcome.response_io();
+        merge_report(&mut outcome.aux, aux);
+        if let Some(cost) = self.open_batch.as_mut().and_then(|b| b.cost.as_mut()) {
+            cost.add_aux(aux, outcome.response_io() - response_before);
         }
     }
 

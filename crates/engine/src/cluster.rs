@@ -456,6 +456,18 @@ impl Cluster {
         Ok(out)
     }
 
+    /// Rows of table `id` stored at `node`, in storage order — one
+    /// fragment of [`Cluster::scan_all`], read on the calling thread.
+    pub fn scan_node(&self, id: TableId, node: NodeId) -> Result<Vec<Row>> {
+        Ok(self
+            .node(node)?
+            .storage(id)?
+            .scan()?
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect())
+    }
+
     /// Cluster-wide row count of a table.
     pub fn row_count(&self, id: TableId) -> Result<u64> {
         let mut c = 0;

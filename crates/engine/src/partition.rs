@@ -204,6 +204,19 @@ impl PartitionSpec {
         }
     }
 
+    /// The one node that stores every row whose partitioning attribute
+    /// equals `v`, when there is one: the hash home under a plain hash
+    /// spec, and for a light value of a heavy-light spec (which routes
+    /// exactly like hash). `None` for round-robin tables and for heavy
+    /// values, whose rows are salted or replicated over a spread set.
+    pub fn value_home(&self, v: &Value, l: usize) -> Result<Option<NodeId>> {
+        match self {
+            PartitionSpec::RoundRobin => Ok(None),
+            _ if self.is_heavy(v) => Ok(None),
+            _ => Self::route_value(v, l).map(Some),
+        }
+    }
+
     /// Home node for a bare partitioning-attribute value. Like
     /// [`PartitionSpec::route`], an empty cluster is an error, not a
     /// divide-by-zero panic.
@@ -396,6 +409,35 @@ mod tests {
             hl.route_all(&row![1], 1, 0).unwrap(),
             vec![pvm_types::NodeId::from(0usize)]
         );
+    }
+
+    #[test]
+    fn value_home_is_where_every_row_of_the_value_lives() {
+        let l = 8;
+        let specs = [
+            PartitionSpec::hash(1),
+            PartitionSpec::heavy_light(1, vec![Value::Int(3)], 4, SpreadMode::Salt),
+            PartitionSpec::heavy_light(1, vec![Value::Int(3)], 4, SpreadMode::Replicate),
+        ];
+        for spec in &specs {
+            for i in 0..100i64 {
+                let r = row![i, i % 7];
+                let v = Value::Int(i % 7);
+                match spec.value_home(&v, l).unwrap() {
+                    Some(home) => assert_eq!(spec.route_all(&r, l, 0).unwrap(), vec![home]),
+                    None => assert!(spec.is_heavy(&v), "only heavy values lack a home"),
+                }
+            }
+        }
+        assert_eq!(
+            PartitionSpec::RoundRobin
+                .value_home(&Value::Int(1), l)
+                .unwrap(),
+            None
+        );
+        assert!(PartitionSpec::hash(0)
+            .value_home(&Value::Int(1), 0)
+            .is_err());
     }
 
     #[test]

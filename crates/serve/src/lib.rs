@@ -64,7 +64,7 @@ struct ChainState {
 }
 
 /// Apply captured changes to a multiset of view rows.
-fn fold(map: &mut BTreeMap<Row, u64>, changes: &[(Row, bool)]) {
+fn fold<'a>(map: &mut BTreeMap<Row, u64>, changes: impl IntoIterator<Item = &'a (Row, bool)>) {
     for (row, insert) in changes {
         if *insert {
             *map.entry(row.clone()).or_insert(0) += 1;
@@ -78,6 +78,11 @@ fn fold(map: &mut BTreeMap<Row, u64>, changes: &[(Row, bool)]) {
             }
         }
     }
+}
+
+/// Whether `row`'s column `col` holds `value` (a row too short never does).
+fn column_equals(row: &Row, col: usize, value: &Value) -> bool {
+    row.get(col) == Some(value)
 }
 
 /// Shared state of one served view: the published epoch, the delta
@@ -240,7 +245,7 @@ impl ServeCore {
     /// its pre-purge Arcs.
     fn purge_matching(&self, col: usize, value: &Value) {
         let mut st = self.state.write().expect("serve state lock");
-        let matches = |row: &Row| row.try_get(col).map(|v| v == value).unwrap_or(false);
+        let matches = |row: &Row| column_equals(row, col, value);
         if st.base.keys().any(&matches) {
             let base = Arc::make_mut(&mut st.base);
             base.retain(|row, _| !matches(row));
@@ -269,45 +274,20 @@ impl ServeCore {
         }
     }
 
-    /// Multiset of view rows as of `epoch`.
-    fn counts_at(&self, epoch: u64) -> BTreeMap<Row, u64> {
-        let (base, links) = self.chain_at(epoch);
-        let mut counts = (*base).clone();
-        for l in &links {
-            fold(&mut counts, &l.changes);
-        }
-        counts
-    }
-
-    /// Multiset of view rows at `epoch` whose column `col` equals
-    /// `value`. Point reads never clone the full base: non-matching rows
-    /// are filtered while iterating, so the per-read allocation is
+    /// Multiset of view rows at `epoch` that satisfy `keep`. Reads never
+    /// clone the full base: non-matching rows are skipped while iterating
+    /// the base and the link suffix, so the per-read allocation is
     /// proportional to the result, not the view.
-    fn matching_at(&self, epoch: u64, col: usize, value: &Value) -> BTreeMap<Row, u64> {
+    fn matching_at(&self, epoch: u64, keep: impl Fn(&Row) -> bool) -> BTreeMap<Row, u64> {
         let (base, links) = self.chain_at(epoch);
-        let matches = |row: &Row| row.try_get(col).map(|v| v == value).unwrap_or(false);
         let mut counts: BTreeMap<Row, u64> = BTreeMap::new();
         for (row, n) in base.iter() {
-            if matches(row) {
+            if keep(row) {
                 counts.insert(row.clone(), *n);
             }
         }
         for l in &links {
-            for (row, insert) in l.changes.iter().filter(|(r, _)| matches(r)) {
-                if *insert {
-                    *counts.entry(row.clone()).or_insert(0) += 1;
-                } else {
-                    match counts.get_mut(row) {
-                        Some(n) if *n > 1 => *n -= 1,
-                        Some(_) => {
-                            counts.remove(row);
-                        }
-                        None => {
-                            debug_assert!(false, "captured delete of an absent view row: {row:?}")
-                        }
-                    }
-                }
-            }
+            fold(&mut counts, l.changes.iter().filter(|(row, _)| keep(row)));
         }
         counts
     }
@@ -430,10 +410,11 @@ impl Snapshot {
         self.epoch
     }
 
-    /// Every view row at this epoch, multiset-expanded and sorted.
-    pub fn rows(&self) -> Vec<Row> {
+    /// View rows at this epoch that satisfy `keep`, multiset-expanded and
+    /// sorted. Allocates proportionally to the result, not the view.
+    pub fn rows_where(&self, keep: impl Fn(&Row) -> bool) -> Vec<Row> {
         let t0 = std::time::Instant::now();
-        let counts = self.core.counts_at(self.epoch);
+        let counts = self.core.matching_at(self.epoch, keep);
         let mut out = Vec::with_capacity(counts.len());
         for (row, n) in counts {
             for _ in 1..n {
@@ -445,25 +426,19 @@ impl Snapshot {
         out
     }
 
+    /// Every view row at this epoch, multiset-expanded and sorted.
+    pub fn rows(&self) -> Vec<Row> {
+        self.rows_where(|_| true)
+    }
+
     /// Rows whose column `col` equals `value` at this epoch, sorted.
-    /// Allocates proportionally to the result, not the view.
     pub fn lookup(&self, col: usize, value: &Value) -> Vec<Row> {
-        let t0 = std::time::Instant::now();
-        let counts = self.core.matching_at(self.epoch, col, value);
-        let mut out = Vec::new();
-        for (row, n) in counts {
-            for _ in 1..n {
-                out.push(row.clone());
-            }
-            out.push(row);
-        }
-        self.note_read(t0);
-        out
+        self.rows_where(|row| column_equals(row, col, value))
     }
 
     /// Number of view rows at this epoch.
     pub fn row_count(&self) -> u64 {
-        self.core.counts_at(self.epoch).values().sum()
+        self.core.matching_at(self.epoch, |_| true).values().sum()
     }
 
     fn note_read(&self, t0: std::time::Instant) {
@@ -510,6 +485,32 @@ mod tests {
         assert_eq!(s1.rows(), vec![row![2, 20], row![3, 30]]);
         assert_eq!(s0.row_count(), 2);
         assert_eq!(s1.lookup(0, &Value::Int(3)), vec![row![3, 30]]);
+    }
+
+    #[test]
+    fn rows_where_filters_base_and_links_at_the_pinned_epoch() {
+        let p = publisher(vec![row![1, 10], row![2, 20], row![2, 20]]);
+        let r = p.reader();
+        let s0 = r.snapshot();
+        p.publish(
+            1,
+            vec![
+                (row![2, 20], false),
+                (row![3, 30], true),
+                (row![4, 5], true),
+            ],
+        );
+        let s1 = r.snapshot();
+        let big = |row: &Row| {
+            row.try_get(1)
+                .map(|v| *v >= Value::Int(20))
+                .unwrap_or(false)
+        };
+        assert_eq!(s0.rows_where(big), vec![row![2, 20], row![2, 20]]);
+        assert_eq!(s1.rows_where(big), vec![row![2, 20], row![3, 30]]);
+        assert!(s1.rows_where(|_| false).is_empty());
+        assert_eq!(s1.rows_where(|_| true), s1.rows());
+        assert_eq!(s1.row_count(), 4);
     }
 
     #[test]

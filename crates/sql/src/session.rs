@@ -11,7 +11,7 @@ use pvm_core::{
 use pvm_engine::{Cluster, ClusterConfig, PartitionSpec, TableDef};
 use pvm_obs::RingSink;
 use pvm_serve::Snapshot;
-use pvm_storage::Organization;
+use pvm_storage::{HeapFile, Organization};
 use pvm_types::{CmpOp, CostSnapshot, Predicate, PvmError, Result, Row, Schema, SchemaRef, Value};
 
 use crate::ast::{ColumnRef, MethodSpec, Statement, ViewSelect, WhereTerm};
@@ -859,16 +859,37 @@ impl Session {
         Ok(p)
     }
 
+    /// The literal of the first `column = literal` term on schema column
+    /// `col`, if the WHERE clause has one.
+    fn eq_literal(schema: &Schema, terms: &[WhereTerm], col: usize) -> Option<Value> {
+        terms.iter().find_map(|t| {
+            (t.op == CmpOp::Eq && Self::resolve_column(schema, &t.column).ok() == Some(col))
+                .then(|| t.literal.clone())
+        })
+    }
+
+    /// Stored rows of `table` that satisfy `terms`, in `scan_all` order.
+    /// An `=` term on the table's partitioning column reads only the home
+    /// node of its literal when one node holds every row of that value
+    /// ([`PartitionSpec::value_home`]); any other WHERE clause scans every
+    /// node. Either way the full predicate filters each candidate row.
     fn matching_rows(&self, table: &str, terms: &[WhereTerm]) -> Result<Vec<Row>> {
         let id = self.cluster.table_id(table)?;
-        let schema = self.cluster.def(id)?.schema.clone();
-        let pred = Self::build_predicate(&schema, terms)?;
-        Ok(self
-            .cluster
-            .scan_all(id)?
-            .into_iter()
-            .filter(|r| pred.eval(r))
-            .collect())
+        let def = self.cluster.def(id)?;
+        let pred = Self::build_predicate(&def.schema, terms)?;
+        let spec = &def.partitioning;
+        let home = match spec
+            .column()
+            .and_then(|c| Self::eq_literal(&def.schema, terms, c))
+        {
+            Some(v) => spec.value_home(&v, self.cluster.node_count())?,
+            None => None,
+        };
+        let rows = match home {
+            Some(node) => self.cluster.scan_node(id, node)?,
+            None => self.cluster.scan_all(id)?,
+        };
+        Ok(rows.into_iter().filter(|r| pred.eval(r)).collect())
     }
 
     fn guard_base_table(&self, table: &str) -> Result<()> {
@@ -918,9 +939,19 @@ impl Session {
         ))
     }
 
+    /// Reject a statement whose new rows include one too large for a heap
+    /// page, before anything touches storage — otherwise the rows ahead of
+    /// it would be stored and the views never maintained. A *view* row
+    /// that overflows still fails mid-maintenance (statement atomicity).
+    fn check_row_sizes(rows: &[Row]) -> Result<()> {
+        rows.iter()
+            .try_for_each(|r| HeapFile::check_tuple_len(r.byte_size()))
+    }
+
     fn insert(&mut self, table: String, rows: Vec<Vec<Value>>) -> Result<SqlOutput> {
         self.guard_base_table(&table)?;
         let rows: Vec<Row> = rows.into_iter().map(Row::new).collect();
+        Self::check_row_sizes(&rows)?;
         let n = rows.len();
         let (_, extra) = self.apply_delta(&table, Delta::Insert(rows))?;
         Ok(SqlOutput::message(format!(
@@ -966,6 +997,7 @@ impl Session {
                 r.set(col, value.clone())?;
             }
         }
+        Self::check_row_sizes(&new)?;
         let n = old.len();
         let (_, extra) = self.apply_delta(&table, Delta::Update { old, new })?;
         Ok(SqlOutput::message(format!(
@@ -1030,13 +1062,7 @@ impl Session {
     fn scan_stored(&self, table: &str, predicate: &[WhereTerm]) -> Result<SqlOutput> {
         let id = self.cluster.table_id(table)?;
         let schema = self.cluster.def(id)?.schema.clone();
-        let pred = Self::build_predicate(&schema, predicate)?;
-        let mut rows: Vec<Row> = self
-            .cluster
-            .scan_all(id)?
-            .into_iter()
-            .filter(|r| pred.eval(r))
-            .collect();
+        let mut rows = self.matching_rows(table, predicate)?;
         rows.sort();
         let (schema, rows) = Self::hide_count(schema, rows)?;
         let n = rows.len();
@@ -1061,11 +1087,7 @@ impl Session {
         }
         let id = self.cluster.table_id(table)?;
         let schema = self.cluster.def(id)?.schema.clone();
-        let pcol = self.views[idx].def().partition_column;
-        let key = predicate.iter().find_map(|t| {
-            (t.op == CmpOp::Eq && Self::resolve_column(&schema, &t.column).ok() == Some(pcol))
-                .then(|| t.literal.clone())
-        });
+        let key = Self::eq_literal(&schema, predicate, self.views[idx].def().partition_column);
         let pinned = self
             .snapshots
             .as_ref()
@@ -1121,7 +1143,7 @@ impl Session {
         let id = self.cluster.table_id(table)?;
         let schema = self.cluster.def(id)?.schema.clone();
         let pred = Self::build_predicate(&schema, predicate)?;
-        let rows: Vec<Row> = snap.rows().into_iter().filter(|r| pred.eval(r)).collect();
+        let rows = snap.rows_where(|r| pred.eval(r));
         let epoch = snap.epoch();
         let (schema, rows) = Self::hide_count(schema, rows)?;
         let n = rows.len();
@@ -1882,6 +1904,48 @@ mod tests {
         s.execute_one("DELETE FROM a").unwrap();
         let out = s.execute_one("SELECT * FROM a").unwrap();
         assert!(out.rows.unwrap().1.is_empty());
+    }
+
+    #[test]
+    fn oversized_rows_fail_before_touching_storage() {
+        // Without the pre-check the two-row INSERT stored row 10, failed
+        // in the heap on row 11, and left jv one row behind its join.
+        let mut s = Session::new(ClusterConfig::new(4).with_buffer_pages(512));
+        s.execute(
+            "CREATE TABLE a (id INT, c INT, p STR) PARTITION BY HASH(id); \
+             CREATE TABLE b (id INT, d INT, p STR) PARTITION BY HASH(id); \
+             INSERT INTO b VALUES (1, 7, 'x'); \
+             CREATE VIEW jv USING AUXILIARY RELATION AS \
+                 SELECT a.id, a.p, b.id FROM a, b WHERE a.c = b.d PARTITION ON a.id;",
+        )
+        .unwrap();
+        let big = "x".repeat(20_000);
+        let a_rows = |s: &mut Session| s.execute_one("SELECT * FROM a").unwrap().rows.unwrap().1;
+        let oversized = [
+            format!("INSERT INTO a VALUES (10, 7, 'ok'), (11, 7, '{big}')"),
+            format!("UPDATE a SET p = '{big}' WHERE id = 12"),
+        ];
+        s.execute_one("INSERT INTO a VALUES (12, 7, 'ok')").unwrap();
+        for in_txn in [false, true] {
+            if in_txn {
+                s.execute_one("BEGIN").unwrap();
+            }
+            for stmt in &oversized {
+                let err = s.execute(stmt).unwrap_err();
+                assert!(
+                    matches!(&err, PvmError::CapacityExceeded(m) if m.contains("page capacity")),
+                    "{err}"
+                );
+                assert_eq!(
+                    a_rows(&mut s),
+                    vec![Row::new(vec![12.into(), 7.into(), "ok".into()])]
+                );
+                s.execute_one("CHECK VIEW jv").unwrap();
+            }
+            if in_txn {
+                s.execute_one("COMMIT").unwrap();
+            }
+        }
     }
 
     #[test]

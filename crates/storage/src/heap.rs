@@ -58,14 +58,21 @@ impl HeapFile {
             .access(PageKey::new(self.file, page), mode);
     }
 
-    /// Insert tuple bytes, returning the new RID.
-    pub fn insert(&mut self, tuple: &[u8]) -> Result<Rid> {
-        if tuple.len() > Page::max_tuple_len() {
+    /// Reject a tuple of `len` bytes that no page can hold — the check
+    /// [`HeapFile::insert`] makes, for callers that must fail before they
+    /// touch storage at all.
+    pub fn check_tuple_len(len: usize) -> Result<()> {
+        if len > Page::max_tuple_len() {
             return Err(PvmError::CapacityExceeded(format!(
-                "tuple of {} bytes exceeds page capacity",
-                tuple.len()
+                "tuple of {len} bytes exceeds page capacity"
             )));
         }
+        Ok(())
+    }
+
+    /// Insert tuple bytes, returning the new RID.
+    pub fn insert(&mut self, tuple: &[u8]) -> Result<Rid> {
+        Self::check_tuple_len(tuple.len())?;
         // Try the last page; compact it if dead space would make it fit
         // (not during a transaction: aborts may resurrect tombstones).
         if let Some(last) = self.pages.last_mut() {
